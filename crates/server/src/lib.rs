@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod event_loop;
 pub mod protocol;
 pub mod router;
 pub mod server;

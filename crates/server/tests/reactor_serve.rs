@@ -12,10 +12,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsdl_graph::generators;
+use fsdl_labels::partition::PartitionPlan;
 use fsdl_labels::ForbiddenSetOracle;
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, Endpoint, ErrorCode, Request, Response, ServeEngine, Server, ServerConfig, WireFaults,
+    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
+    ServerConfig, WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -42,6 +44,73 @@ fn spawn_server(
     let endpoint = server.local_endpoint().expect("endpoint");
     let handle = std::thread::spawn(move || server.run());
     (endpoint, handle)
+}
+
+/// The two front-ends of the shared event loop.
+#[derive(Clone, Copy, Debug)]
+enum Front {
+    Server,
+    /// A router over the same graph served by one static backend shard.
+    Router,
+}
+
+/// The totals the connection-handling tests read from either front-end.
+struct Totals {
+    queries: u64,
+    protocol_errors: u64,
+    deadline_closes: u64,
+}
+
+type Joiner = Box<dyn FnOnce() -> Totals>;
+
+/// Spawns `front` on a fresh socket with the given frame deadline; the
+/// returned closure joins it (and any backend) after a shutdown frame.
+fn spawn_front(front: Front, tag: &str, frame_deadline: Duration) -> (Endpoint, Joiner) {
+    let config = ServerConfig {
+        frame_deadline,
+        ..ServerConfig::default()
+    };
+    let (endpoint, handle) = spawn_server(scratch_sock(tag), config);
+    match front {
+        Front::Server => {
+            let join = move || {
+                let report = handle.join().expect("server");
+                Totals {
+                    queries: report.queries,
+                    protocol_errors: report.protocol_errors,
+                    deadline_closes: report.deadline_closes,
+                }
+            };
+            (endpoint, Box::new(join))
+        }
+        Front::Router => {
+            let router = Router::bind(
+                &Endpoint::Unix(scratch_sock(&format!("{tag}-router"))),
+                vec![endpoint.clone()],
+                PartitionPlan::contiguous(36, 1),
+                RouterConfig {
+                    frame_deadline,
+                    ..RouterConfig::default()
+                },
+            )
+            .expect("bind router");
+            let router_endpoint = router.local_endpoint().expect("router endpoint");
+            let router_thread = std::thread::spawn(move || router.run());
+            let join = move || {
+                let report = router_thread.join().expect("router");
+                Client::connect(&endpoint)
+                    .and_then(|mut backend| backend.shutdown())
+                    .expect("backend shutdown");
+                handle.join().expect("backend");
+                Totals {
+                    queries: report.queries,
+                    protocol_errors: report.protocol_errors,
+                    deadline_closes: report.deadline_closes,
+                }
+            };
+            (router_endpoint, Box::new(join))
+        }
+    }
 }
 
 fn connect_raw(endpoint: &Endpoint) -> UnixStream {
@@ -98,49 +167,54 @@ fn read_reply(stream: &mut UnixStream) -> Option<Vec<u8>> {
 /// whole — the reassembler cannot care where the kernel splits reads.
 #[test]
 fn drip_fed_frames_are_reassembled_across_every_boundary() {
-    let (endpoint, handle) = spawn_server(scratch_sock("drip"), ServerConfig::default());
+    for front in [Front::Server, Front::Router] {
+        let (endpoint, join) = spawn_front(front, "drip", ServerConfig::default().frame_deadline);
 
-    let request = Request::Query {
-        s: 0,
-        t: 35,
-        faults: WireFaults {
-            vertices: vec![7],
-            edges: vec![(1, 2)],
-        },
-    };
-    let frame = encode_frame(&request);
+        let request = Request::Query {
+            s: 0,
+            t: 35,
+            faults: WireFaults {
+                vertices: vec![7],
+                edges: vec![(1, 2)],
+            },
+        };
+        let frame = encode_frame(&request);
 
-    // Reference answer over a normal connection.
-    let mut whole = connect_raw(&endpoint);
-    whole.write_all(&frame).expect("write");
-    let expected = read_reply(&mut whole).expect("whole-frame reply");
+        // Reference answer over a normal connection.
+        let mut whole = connect_raw(&endpoint);
+        whole.write_all(&frame).expect("write");
+        let expected = read_reply(&mut whole).expect("whole-frame reply");
 
-    // Same request, one byte per write with a pause so the event loop
-    // observes many partial reads (header split, payload split).
-    let mut drip = connect_raw(&endpoint);
-    for byte in &frame {
-        drip.write_all(std::slice::from_ref(byte)).expect("write");
-        std::thread::sleep(Duration::from_millis(1));
+        // Same request, one byte per write with a pause so the event loop
+        // observes many partial reads (header split, payload split).
+        let mut drip = connect_raw(&endpoint);
+        for byte in &frame {
+            drip.write_all(std::slice::from_ref(byte)).expect("write");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let got = read_reply(&mut drip).expect("drip-fed reply");
+        assert_eq!(
+            got, expected,
+            "{front:?}: reassembled answer must be bit-identical"
+        );
+
+        // Two frames fused into one write must also yield two replies.
+        let mut fused = connect_raw(&endpoint);
+        let mut double = frame.clone();
+        double.extend_from_slice(&frame);
+        fused.write_all(&double).expect("write");
+        assert_eq!(read_reply(&mut fused).expect("first fused reply"), expected);
+        assert_eq!(
+            read_reply(&mut fused).expect("second fused reply"),
+            expected
+        );
+
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.shutdown().expect("shutdown");
+        let totals = join();
+        assert_eq!(totals.protocol_errors, 0, "{front:?}");
+        assert_eq!(totals.queries, 4, "{front:?}");
     }
-    let got = read_reply(&mut drip).expect("drip-fed reply");
-    assert_eq!(got, expected, "reassembled answer must be bit-identical");
-
-    // Two frames fused into one write must also yield two replies.
-    let mut fused = connect_raw(&endpoint);
-    let mut double = frame.clone();
-    double.extend_from_slice(&frame);
-    fused.write_all(&double).expect("write");
-    assert_eq!(read_reply(&mut fused).expect("first fused reply"), expected);
-    assert_eq!(
-        read_reply(&mut fused).expect("second fused reply"),
-        expected
-    );
-
-    let mut client = Client::connect(&endpoint).expect("connect");
-    client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
-    assert_eq!(report.protocol_errors, 0);
-    assert_eq!(report.queries, 4);
 }
 
 /// Two connections drip-feeding interleaved chunks each get their own
@@ -264,50 +338,54 @@ fn pipelined_batches_with_a_lazy_reader_exercise_the_write_buffer() {
 /// count; a connection that is merely idle (no partial frame) is immune.
 #[test]
 fn slow_loris_hits_the_deadline_while_idle_connections_are_immune() {
-    let config = ServerConfig {
-        frame_deadline: Duration::from_millis(200),
-        ..ServerConfig::default()
-    };
-    let (endpoint, handle) = spawn_server(scratch_sock("loris"), config);
+    for front in [Front::Server, Front::Router] {
+        let (endpoint, join) = spawn_front(front, "loris", Duration::from_millis(200));
 
-    // Idle connection: open, never writes. Must survive many deadlines.
-    let mut idle = connect_raw(&endpoint);
+        // Idle connection: open, never writes. Must survive many deadlines.
+        let mut idle = connect_raw(&endpoint);
 
-    // Loris: 4-byte header promising 8 bytes, then 2 bytes, then stall.
-    let mut loris = connect_raw(&endpoint);
-    loris.write_all(&8u32.to_le_bytes()).expect("header");
-    loris.write_all(&[0xAB, 0xCD]).expect("partial payload");
+        // Loris: 4-byte header promising 8 bytes, then 2 bytes, then stall.
+        let mut loris = connect_raw(&endpoint);
+        loris.write_all(&8u32.to_le_bytes()).expect("header");
+        loris.write_all(&[0xAB, 0xCD]).expect("partial payload");
 
-    let reply = read_reply(&mut loris).expect("loris must get a typed reply before the close");
-    let decoded = Response::decode(&reply).expect("decode");
-    let Response::Error(err) = decoded else {
-        panic!("expected error reply, got {}", decoded.kind_name());
-    };
-    assert_eq!(err.code, ErrorCode::DeadlineExceeded);
-    assert!(
-        read_reply(&mut loris).is_none(),
-        "the loris connection must be closed after the typed reply"
-    );
+        let reply = read_reply(&mut loris).expect("loris must get a typed reply before the close");
+        let decoded = Response::decode(&reply).expect("decode");
+        let Response::Error(err) = decoded else {
+            panic!(
+                "{front:?}: expected error reply, got {}",
+                decoded.kind_name()
+            );
+        };
+        assert_eq!(err.code, ErrorCode::DeadlineExceeded, "{front:?}");
+        assert!(
+            read_reply(&mut loris).is_none(),
+            "{front:?}: the loris connection must be closed after the typed reply"
+        );
 
-    // The idle connection outlived several deadline windows and still
-    // serves: idleness is free, only mid-frame stalls are policed.
-    std::thread::sleep(Duration::from_millis(100));
-    idle.write_all(&encode_frame(&Request::Stats))
-        .expect("write");
-    let stats_payload = read_reply(&mut idle).expect("idle conn must still be served");
-    let Response::Stats(stats) = Response::decode(&stats_payload).expect("decode") else {
-        panic!("expected stats");
-    };
-    assert_eq!(stats.deadline_closes, 1, "exactly the loris was cut");
+        // The idle connection outlived several deadline windows and still
+        // serves: idleness is free, only mid-frame stalls are policed.
+        std::thread::sleep(Duration::from_millis(100));
+        idle.write_all(&encode_frame(&Request::Stats))
+            .expect("write");
+        let stats_payload = read_reply(&mut idle).expect("idle conn must still be served");
+        let Response::Stats(stats) = Response::decode(&stats_payload).expect("decode") else {
+            panic!("{front:?}: expected stats");
+        };
+        assert_eq!(
+            stats.deadline_closes, 1,
+            "{front:?}: exactly the loris was cut"
+        );
 
-    let mut client = Client::connect(&endpoint).expect("connect");
-    client.shutdown().expect("shutdown");
-    let report = handle.join().expect("server");
-    assert_eq!(report.deadline_closes, 1);
-    assert_eq!(
-        report.protocol_errors, 0,
-        "a deadline close is not a protocol error"
-    );
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client.shutdown().expect("shutdown");
+        let totals = join();
+        assert_eq!(totals.deadline_closes, 1, "{front:?}");
+        assert_eq!(
+            totals.protocol_errors, 0,
+            "{front:?}: a deadline close is not a protocol error"
+        );
+    }
 }
 
 /// The starvation regression test: with ONE worker and a crowd of idle

@@ -8,17 +8,22 @@
 //! or bit-identical answers, never a panic and never a silent wrong
 //! answer.
 
+use std::io::Write;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use fsdl_graph::{generators, FaultSet, Graph, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
 use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle};
 use fsdl_routing::Network;
+use fsdl_server::protocol::{self, FrameRead};
 use fsdl_server::{
-    Client, ClientError, Endpoint, ErrorCode, Router, RouterConfig, ServeEngine, ServeReport,
-    Server, ServerConfig, ShutdownHandle, WireFaults,
+    Client, ClientError, Endpoint, ErrorCode, LabelFetchReply, Request, Response, Router,
+    RouterConfig, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle, WireFaults,
+    MAX_FRAME,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -90,6 +95,27 @@ impl ShardFleet {
             endpoints.push(endpoint);
         }
         ShardFleet { endpoints, handles }
+    }
+
+    /// A single-process static server over `oracle`'s graph as a
+    /// one-shard backend, with an explicit label byte budget.
+    fn spawn_static(g: &Graph, dir: &Path, label_fetch_budget: usize) -> ShardFleet {
+        let endpoint = Endpoint::Unix(dir.join("static.sock"));
+        let server = Server::bind(
+            &endpoint,
+            ServeEngine::from_network(Network::from_oracle(ForbiddenSetOracle::new(g, 0.5))),
+            ServerConfig {
+                workers: 1,
+                label_fetch_budget,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind static backend");
+        let handle = server.shutdown_handle();
+        ShardFleet {
+            endpoints: vec![endpoint],
+            handles: vec![(std::thread::spawn(move || server.run()), handle)],
+        }
     }
 
     fn stop(self) {
@@ -415,48 +441,187 @@ fn shard_down_yields_unavailable_not_panic() {
 fn short_label_fetch_replies_reassemble_bit_identically() {
     let g = generators::grid2d(6, 5);
     let oracle = ForbiddenSetOracle::new(&g, 0.5);
-    let plan = PartitionPlan::for_oracle(&oracle, 2);
     let dir = TempDir::new("short");
-    let fleet = ShardFleet::spawn_with_budget(&oracle, dir.path(), &plan, Some(1));
+    // Both label-fetch backends pack under the same 1-byte budget: a
+    // shard fleet and a static server fronted as the only shard.
+    let fleet_plan = PartitionPlan::for_oracle(&oracle, 2);
+    let backends = [
+        (
+            ShardFleet::spawn_with_budget(&oracle, dir.path(), &fleet_plan, Some(1)),
+            fleet_plan,
+        ),
+        (
+            ShardFleet::spawn_static(&g, dir.path(), 1),
+            PartitionPlan::contiguous(g.num_vertices(), 1),
+        ),
+    ];
+    for (fleet, plan) in backends {
+        // Direct client fetch of every shard-0 vertex: the server may only
+        // return one label per frame, so the client loop has to stitch the
+        // full set back together, in request order.
+        let owned = plan.vertices_of(0);
+        let ids: Vec<u32> = owned.iter().map(|v| v.raw()).collect();
+        let mut probe = connect(&fleet.endpoints[0]);
+        let reply = probe.label_fetch(ids.clone()).expect("assembled fetch");
+        assert_eq!(reply.labels.len(), ids.len(), "every label arrives");
+        for (lb, &v) in reply.labels.iter().zip(&ids) {
+            assert_eq!(lb.vertex, v, "labels arrive in request order");
+        }
+        drop(probe);
 
-    // Direct client fetch of every shard-0 vertex: the server may only
-    // return one label per frame, so the client loop has to stitch the
-    // full set back together, in request order.
-    let owned = plan.vertices_of(0);
-    let ids: Vec<u32> = owned.iter().map(|v| v.raw()).collect();
-    let mut probe = connect(&fleet.endpoints[0]);
-    let reply = probe.label_fetch(ids.clone()).expect("assembled fetch");
-    assert_eq!(reply.labels.len(), ids.len(), "every label arrives");
-    for (lb, &v) in reply.labels.iter().zip(&ids) {
-        assert_eq!(lb.vertex, v, "labels arrive in request order");
-    }
-    drop(probe);
-
-    // Routed queries gather through the same budget-starved fleet and
-    // must stay bit-identical to the oracle.
-    let (endpoint, _shutdown, router_thread) = spawn_router(fleet.endpoints.clone(), plan);
-    let mut client = connect(&endpoint);
-    let mut scratch = DecodeScratch::new();
-    for (s, t, wire) in fault_matrix(&g) {
-        let faults = wire.to_fault_set();
-        let expected = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
-        let reply = client.query(s, t, wire).expect("routed query");
-        assert_eq!(reply.distance, expected.distance.raw(), "distance {s}->{t}");
-        assert_eq!(
-            reply.path,
-            expected.path.iter().map(|v| v.raw()).collect::<Vec<_>>(),
-            "path {s}->{t}"
+        // Routed queries gather through the same budget-starved backend
+        // and must stay bit-identical to the oracle.
+        let (endpoint, _shutdown, router_thread) = spawn_router(fleet.endpoints.clone(), plan);
+        let mut client = connect(&endpoint);
+        let mut scratch = DecodeScratch::new();
+        for (s, t, wire) in fault_matrix(&g) {
+            let faults = wire.to_fault_set();
+            let expected = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
+            let reply = client.query(s, t, wire).expect("routed query");
+            assert_eq!(reply.distance, expected.distance.raw(), "distance {s}->{t}");
+            assert_eq!(
+                reply.path,
+                expected.path.iter().map(|v| v.raw()).collect::<Vec<_>>(),
+                "path {s}->{t}"
+            );
+        }
+        client.shutdown().expect("shutdown");
+        let report = router_thread.join().expect("router thread");
+        assert_eq!(report.protocol_errors, 0);
+        assert_eq!(report.shard_failures, 0);
+        assert!(
+            report.upstream_fetches > report.queries,
+            "tail re-requests must have happened under a 1-byte budget"
         );
+        fleet.stop();
     }
-    client.shutdown().expect("shutdown");
-    let report = router_thread.join().expect("router thread");
-    assert_eq!(report.protocol_errors, 0);
-    assert_eq!(report.shard_failures, 0);
+}
+
+/// Reads one reply frame; `None` on a clean EOF.
+fn read_reply(stream: &mut UnixStream) -> Option<Response> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut buf = Vec::new();
+    match protocol::read_frame(stream, MAX_FRAME, &mut buf).expect("reply frame") {
+        FrameRead::Frame => Some(Response::decode(&buf).expect("decode reply")),
+        FrameRead::Eof => None,
+    }
+}
+
+fn connect_unix(endpoint: &Endpoint) -> UnixStream {
+    let Endpoint::Unix(path) = endpoint else {
+        panic!("expected a unix endpoint");
+    };
+    UnixStream::connect(path).expect("connect")
+}
+
+/// A gather that fails while the router drains is answered once, and
+/// the connection then closes: the next buffered frame is not
+/// dispatched, readability is not re-armed, and `run` returns as soon as
+/// the reply flushes rather than at the drain deadline. The shard is a
+/// stub that completes the handshake and then holds every fetch, so the
+/// test decides when the gather fails.
+#[test]
+fn failed_gather_during_drain_answers_once_then_closes() {
+    let dir = TempDir::new("drainfail");
+    let stub_path = dir.path().join("stub.sock");
+    let stub_listener = UnixListener::bind(&stub_path).expect("bind stub shard");
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let stub = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        // The handshake connection, then the router's one pool connection.
+        for stream in stub_listener.incoming() {
+            let mut stream = stream.expect("stub accept");
+            while let FrameRead::Frame =
+                protocol::read_frame(&mut stream, MAX_FRAME, &mut buf).expect("stub read")
+            {
+                let Ok(Request::LabelFetch { vertices }) = Request::decode(&buf) else {
+                    panic!("the stub shard only speaks label-fetch");
+                };
+                if !vertices.is_empty() {
+                    // Hold the fetch until the test says to drop the
+                    // connection under it.
+                    held_tx.send(()).expect("report held fetch");
+                    release_rx.recv().expect("release");
+                    return;
+                }
+                let identity = Response::LabelFetch(LabelFetchReply {
+                    generation: 1,
+                    epsilon_bits: 0.5f64.to_bits(),
+                    c: 2,
+                    vertices: 4,
+                    labels: Vec::new(),
+                });
+                protocol::send_response(&mut stream, &identity, &mut Vec::new())
+                    .expect("handshake reply");
+            }
+        }
+    });
+
+    let frame_deadline = Duration::from_secs(10);
+    let router = Router::bind(
+        &Endpoint::Unix(dir.path().join("router.sock")),
+        vec![Endpoint::Unix(stub_path)],
+        PartitionPlan::contiguous(4, 1),
+        RouterConfig {
+            workers: 1,
+            pool_per_shard: 1,
+            frame_deadline,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router over the stub");
+    let endpoint = router.local_endpoint().expect("router endpoint");
+    let shutdown = router.shutdown_handle();
+    let router_thread = std::thread::spawn(move || router.run());
+
+    let mut idle = connect_unix(&endpoint);
+    let mut client = connect_unix(&endpoint);
+    let mut frames = Vec::new();
+    for (s, t) in [(0, 3), (1, 2)] {
+        let mut payload = Vec::new();
+        Request::Query {
+            s,
+            t,
+            faults: WireFaults::empty(),
+        }
+        .encode(&mut payload);
+        frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frames.extend_from_slice(&payload);
+    }
+    client.write_all(&frames).expect("pipeline two queries");
+    held_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the first query's fetch reached the stub");
+
+    let signaled = Instant::now();
+    shutdown.signal();
+    // The drain has started once the router closes the quiescent
+    // connection; only then does the gather fail.
     assert!(
-        report.upstream_fetches > report.queries,
-        "tail re-requests must have happened under a 1-byte budget"
+        read_reply(&mut idle).is_none(),
+        "idle connection closed by the drain"
     );
-    fleet.stop();
+    release_tx.send(()).expect("release the held fetch");
+
+    match read_reply(&mut client) {
+        Some(Response::Error(e)) => assert_eq!(e.code, ErrorCode::Unavailable, "{e:?}"),
+        other => panic!("expected one typed Unavailable, got {other:?}"),
+    }
+    assert!(
+        read_reply(&mut client).is_none(),
+        "the drain must close the connection instead of dispatching the second query"
+    );
+    let report = router_thread.join().expect("router thread");
+    assert!(
+        signaled.elapsed() < frame_deadline / 4,
+        "run returned {:?} after the signal; the drain deadline is {frame_deadline:?}",
+        signaled.elapsed()
+    );
+    assert_eq!(report.protocol_errors, 1);
+    stub.join().expect("stub shard");
 }
 
 /// The corruption sweep, extended to the sharded plane: flip one byte
