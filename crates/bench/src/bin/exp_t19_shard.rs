@@ -1,11 +1,12 @@
-//! Experiment T19 — sharded scatter-gather serving: partition, route,
-//! reassemble, and prove nothing changed.
+//! Experiment T19 — sharded serving: partition, route, reassemble, and
+//! prove nothing changed.
 //!
 //! The labels are self-contained (a query touches only the `≤ 2 + |F|`
 //! labels it names), so the label plane shards horizontally with no
 //! cross-shard coupling: partition the vertex set, give each shard its
-//! slice of the store, and put a scatter-gather router in front that
-//! fetches the named labels and runs the decode locally. This
+//! slice of the store, and put a server with the routed engine in front,
+//! whose workers fetch the named labels from the shards that own them
+//! and run the decode locally. This
 //! experiment certifies the two claims that make that deployment
 //! shape worth having:
 //!
@@ -28,8 +29,8 @@
 //!    S = 4 is ≥ 2.5x the S = 1 capacity (≥ 1.5x under `--quick`).
 //!
 //! A third, informational phase drives concurrent end-to-end queries
-//! through the router and reports the QPS without gating on it — the
-//! single router loop is the known ceiling for one client box, and the
+//! through the router and reports the QPS without gating on it — one
+//! router's worker pool is the known ceiling for one client box, and the
 //! deployment answer to that is more routers, not a bigger one.
 //!
 //! Results are printed and written to `BENCH_shard.json` (`--out PATH`
@@ -44,8 +45,7 @@ use fsdl_graph::{generators, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
 use fsdl_labels::{write_shard_stores, DecodeScratch, ForbiddenSetOracle};
 use fsdl_server::{
-    Client, Endpoint, Router, RouterConfig, ServeEngine, ServeReport, Server, ServerConfig,
-    ShutdownHandle, WireFaults,
+    Client, Endpoint, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle, WireFaults,
 };
 use fsdl_testkit::Rng;
 
@@ -153,7 +153,7 @@ fn main() {
         .to_string();
     let min_scaling = if quick { MIN_SCALING_QUICK } else { MIN_SCALING };
 
-    println!("Experiment T19: sharded scatter-gather serving (eps = 0.5)\n");
+    println!("Experiment T19: sharded serving through a routed engine (eps = 0.5)\n");
 
     let side = if quick { 12 } else { 24 };
     let seed: u64 = 0x719;
@@ -166,11 +166,12 @@ fn main() {
     let dir = scratch_dir("diff");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let (plan, fleet) = spawn_fleet(&oracle, &dir, shards);
-    let router = Router::bind(
+    let engine =
+        ServeEngine::routed(fleet.endpoints.clone(), plan.clone()).expect("handshake the fleet");
+    let router = Server::bind(
         &Endpoint::Unix(dir.join("router.sock")),
-        fleet.endpoints.clone(),
-        plan.clone(),
-        RouterConfig::default(),
+        engine,
+        ServerConfig::default(),
     )
     .expect("bind router");
     let router_endpoint = router.local_endpoint().expect("router endpoint");
@@ -219,8 +220,8 @@ fn main() {
     }
     println!("differential: {checked} routed queries, {mismatches} mismatches");
 
-    // The same stream through batch frames: one scatter per frame,
-    // per-item bit-identity.
+    // The same stream through batch frames: one fetch per shard per
+    // frame, per-item bit-identity.
     let mut stream = OpStream::new(seed, 1, config);
     let tuples: Vec<(u32, u32, WireFaults)> = std::iter::from_fn(|| Some(stream.next_op()))
         .filter_map(|op| match op {
@@ -301,7 +302,7 @@ fn main() {
          ({shard_fetches} served by shards), {} protocol errors, {} shard failures",
         report.queries,
         report.batch_queries,
-        report.upstream_fetches,
+        report.label_fetches,
         report.protocol_errors,
         report.shard_failures
     );
@@ -346,7 +347,7 @@ fn main() {
     let _ = writeln!(artifact, "  \"differential_mismatches\": {mismatches},");
     let _ = writeln!(artifact, "  \"batch_tuples\": {},", wire_items.len());
     let _ = writeln!(artifact, "  \"batch_mismatches\": {batch_mismatches},");
-    let _ = writeln!(artifact, "  \"upstream_fetches\": {},", report.upstream_fetches);
+    let _ = writeln!(artifact, "  \"upstream_fetches\": {},", report.label_fetches);
     let _ = writeln!(artifact, "  \"protocol_errors\": {},", report.protocol_errors);
     let _ = writeln!(artifact, "  \"shard_failures\": {},", report.shard_failures);
     let _ = writeln!(artifact, "  \"router_qps_informational\": {router_qps:.1},");

@@ -12,7 +12,7 @@ use fsdl_graph::{generators, io as gio, FaultSet, Graph, GraphStats, NodeId};
 use fsdl_labels::partition::{shard_dir_name, PartitionPlan, ShardStore};
 use fsdl_labels::{DynamicConfig, DynamicOracle, ForbiddenSetOracle, OpenMode, RebuildMode};
 use fsdl_routing::Network;
-use fsdl_server::{Endpoint, Router, RouterConfig, ServeEngine, Server, ServerConfig};
+use fsdl_server::{Endpoint, ServeEngine, Server, ServerConfig};
 
 use crate::args::{parse_edge_list, parse_vertex_list, ArgError, ParsedArgs};
 
@@ -69,9 +69,9 @@ USAGE:
        --shards S runs the simulated multi-shard plane instead: the
        label set is partitioned by net-hierarchy cell into S shard
        stores under --shard-dir [default: a temp dir], S in-process
-       shard servers come up on unix sockets, and --listen serves the
-       scatter-gather router — answers are bit-identical to the
-       unsharded server)
+       shard servers come up on unix sockets, and --listen serves a
+       router over them [as `fsdl router`] — answers are bit-identical
+       to the unsharded server)
   fsdl shard <shard-dir> --listen tcp:HOST:PORT|unix:PATH
              [--workers N] [--open-mode eager|lazy]
       (serves one shard store written by `fsdl serve --shards` or
@@ -80,9 +80,11 @@ USAGE:
   fsdl router --listen tcp:HOST:PORT|unix:PATH --plan FILE
               --shards ep1,ep2,...  [--workers N] [--frame-deadline-ms MS]
       (fronts a shard fleet: endpoints are comma-separated listen specs
-       in shard order, e.g. unix:/run/s0.sock,tcp:10.0.0.2:7070; the
-       router scatter-gathers labels and answers query/batch frames
-       bit-identically to a single-process oracle)
+       in shard order, e.g. unix:/run/s0.sock,tcp:10.0.0.2:7070; each
+       worker fetches the labels a query/batch frame needs from the
+       shards that own them and answers bit-identically to a
+       single-process oracle; --workers 0 = one per core;
+       --frame-deadline-ms also bounds every wait on a shard)
   (query/route/batch/trace also accept --forbid-file FILE with
    \"v <id>\" / \"f <u> <v>\" lines)
   fsdl help
@@ -918,7 +920,7 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
 /// `fsdl serve --shards S`: the simulated multi-shard plane on one
 /// machine. Partitions the label set by net-hierarchy cell, writes S
 /// shard stores, brings up S in-process shard servers on unix sockets,
-/// and serves the scatter-gather router at `--listen` until shutdown.
+/// and serves a router over them at `--listen` until shutdown.
 fn cmd_serve_sharded<W: Write>(
     args: &ParsedArgs,
     out: &mut W,
@@ -937,8 +939,12 @@ fn cmd_serve_sharded<W: Write>(
             true,
         ),
     };
-    let reports = fsdl_labels::write_shard_stores(&oracle, &dir, &plan)
-        .map_err(|e| ArgError(format!("cannot write shard stores under {}: {e}", dir.display())))?;
+    let reports = fsdl_labels::write_shard_stores(&oracle, &dir, &plan).map_err(|e| {
+        ArgError(format!(
+            "cannot write shard stores under {}: {e}",
+            dir.display()
+        ))
+    })?;
     drop(oracle); // the shards and router serve from disk, not this copy
 
     let mut shard_endpoints = Vec::with_capacity(shards as usize);
@@ -963,17 +969,7 @@ fn cmd_serve_sharded<W: Write>(
         shard_endpoints.push(shard_ep);
     }
 
-    let router = Router::bind(
-        endpoint,
-        shard_endpoints,
-        plan,
-        RouterConfig {
-            workers,
-            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))?;
+    let router = bind_router(endpoint, shard_endpoints, plan, workers, frame_deadline_ms)?;
     let bound = router
         .local_endpoint()
         .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
@@ -1008,7 +1004,7 @@ fn cmd_serve_sharded<W: Write>(
             report.connections,
             report.queries,
             report.batch_queries,
-            report.upstream_fetches,
+            report.label_fetches,
             report.protocol_errors,
             report.shard_failures,
             report.deadline_closes
@@ -1074,6 +1070,28 @@ fn parse_shard_endpoints(raw: &str) -> Result<Vec<Endpoint>, ArgError> {
     Ok(endpoints)
 }
 
+/// Handshakes the shard fleet and binds a routed server at `endpoint`.
+fn bind_router(
+    endpoint: &Endpoint,
+    shard_endpoints: Vec<Endpoint>,
+    plan: PartitionPlan,
+    workers: usize,
+    frame_deadline_ms: u64,
+) -> Result<Server, ArgError> {
+    let engine = ServeEngine::routed(shard_endpoints, plan)
+        .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))?;
+    Server::bind(
+        endpoint,
+        engine,
+        ServerConfig {
+            workers,
+            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
+            ..ServerConfig::default()
+        },
+    )
+    .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))
+}
+
 /// `fsdl router`: fronts an already-running shard fleet.
 fn cmd_router<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     let endpoint = parse_listen(args.required("listen")?)?;
@@ -1088,21 +1106,14 @@ fn cmd_router<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
     }
     let plan = PartitionPlan::load(&plan_path)
         .map_err(|e| ArgError(format!("cannot load plan {}: {e}", plan_path.display())))?;
-    let router = Router::bind(
-        &endpoint,
-        shard_endpoints,
-        plan,
-        RouterConfig {
-            workers,
-            frame_deadline: std::time::Duration::from_millis(frame_deadline_ms),
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| ArgError(format!("cannot bind router at {endpoint}: {e}")))?;
+    let router = bind_router(&endpoint, shard_endpoints, plan, workers, frame_deadline_ms)?;
     let bound = router
         .local_endpoint()
         .map_err(|e| ArgError(format!("cannot resolve bound endpoint: {e}")))?;
-    write_out(out, &format!("routing {bound}; stop with a shutdown frame\n"))?;
+    write_out(
+        out,
+        &format!("routing {bound}; stop with a shutdown frame\n"),
+    )?;
     out.flush()
         .map_err(|e| ArgError(format!("write failed: {e}")))?;
     let report = router.run();
@@ -1115,7 +1126,7 @@ fn cmd_router<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
             report.connections,
             report.queries,
             report.batch_queries,
-            report.upstream_fetches,
+            report.label_fetches,
             report.protocol_errors,
             report.shard_failures,
             report.deadline_closes
@@ -1907,10 +1918,8 @@ mod tests {
     fn serve_sharded_answers_bit_identically() {
         let g = generators::grid2d(5, 4);
         let graph = TempGraph::new(&g);
-        let sock = std::env::temp_dir().join(format!(
-            "fsdl-cli-shard-serve-{}.sock",
-            std::process::id()
-        ));
+        let sock =
+            std::env::temp_dir().join(format!("fsdl-cli-shard-serve-{}.sock", std::process::id()));
         let listen = format!("unix:{}", sock.display());
         let gpath = graph.path().to_string();
         let server = std::thread::spawn(move || {
@@ -1926,8 +1935,7 @@ mod tests {
         let mut scratch = fsdl_labels::DecodeScratch::new();
         for (s, t, forbid) in [(0u32, 19u32, vec![]), (0, 19, vec![9u32]), (3, 16, vec![8])] {
             let faults = FaultSet::from_vertices(forbid.iter().copied().map(NodeId::new));
-            let expected =
-                oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
+            let expected = oracle.query_with(NodeId::new(s), NodeId::new(t), &faults, &mut scratch);
             let wire = fsdl_server::WireFaults {
                 vertices: forbid.clone(),
                 edges: vec![],

@@ -315,12 +315,12 @@ impl PartitionPlan {
         }
         out.extend_from_slice(&store::fnv32(&out).to_le_bytes());
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| PartitionError::Plan {
-                message: format!("{} is not a writable file path", path.display()),
-            })?;
+        let name =
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| PartitionError::Plan {
+                    message: format!("{} is not a writable file path", path.display()),
+                })?;
         store::write_atomic(dir.unwrap_or(Path::new(".")), name, &out)?;
         Ok(())
     }
@@ -333,8 +333,8 @@ impl PartitionPlan {
     /// [`PartitionError::Plan`] on any malformation; never panics.
     pub fn load(path: &Path) -> Result<PartitionPlan, PartitionError> {
         let plan_err = |message: String| PartitionError::Plan { message };
-        let bytes = std::fs::read(path)
-            .map_err(|e| plan_err(format!("{}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| plan_err(format!("{}: {e}", path.display())))?;
         if bytes.len() < 29 {
             return Err(plan_err(format!("plan file is {} bytes", bytes.len())));
         }
@@ -565,8 +565,7 @@ impl ShardStore {
             path: meta_path.clone(),
             message,
         };
-        let bytes =
-            std::fs::read(&meta_path).map_err(|e| meta_err(format!("unreadable: {e}")))?;
+        let bytes = std::fs::read(&meta_path).map_err(|e| meta_err(format!("unreadable: {e}")))?;
         if bytes.len() < 49 {
             return Err(meta_err(format!("sidecar is {} bytes", bytes.len())));
         }
@@ -734,7 +733,7 @@ mod tests {
             for v in 0..128 {
                 assert!(plan.shard_of(NodeId::from_index(v)) < shards);
             }
-            let mut from_lists = vec![false; 128];
+            let mut from_lists = [false; 128];
             for s in 0..shards {
                 for v in plan.vertices_of(s) {
                     assert!(!from_lists[v.index()], "{v} assigned twice");
@@ -793,10 +792,9 @@ mod tests {
         assert_eq!(reports.iter().map(|r| r.labels).sum::<usize>(), 64);
         let loaded = PartitionPlan::load(&dir.join(PLAN_FILE_NAME)).expect("plan");
         assert_eq!(loaded, plan);
-        let mut seen = vec![false; 64];
+        let mut seen = [false; 64];
         for shard in 0..3 {
-            let store =
-                ShardStore::open(&dir.join(shard_dir_name(shard))).expect("open shard");
+            let store = ShardStore::open(&dir.join(shard_dir_name(shard))).expect("open shard");
             assert_eq!(store.shard(), shard);
             assert_eq!(store.num_shards(), 3);
             assert_eq!(store.total_vertices(), 64);
@@ -813,8 +811,7 @@ mod tests {
                 seen[v as usize] = true;
                 assert_eq!(plan.shard_of(NodeId::new(v)), shard);
                 // Bit-identical to the oracle's canonical wire form.
-                let (want, want_bits) =
-                    oracle.encoded_label(NodeId::new(v)).expect("encode");
+                let (want, want_bits) = oracle.encoded_label(NodeId::new(v)).expect("encode");
                 assert_eq!(bits, want_bits, "v{v} bit length");
                 assert_eq!(bytes, &want[..], "v{v} payload");
             }
@@ -850,7 +847,10 @@ mod tests {
         let other_meta = std::fs::read(dir.join(shard_dir_name(1)).join(SHARD_META_NAME))
             .expect("read shard 1 sidecar");
         std::fs::write(&meta, &other_meta).expect("cross-plant sidecar");
-        assert!(ShardStore::open(&sub).is_err(), "shard identity not enforced");
+        assert!(
+            ShardStore::open(&sub).is_err(),
+            "shard identity not enforced"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

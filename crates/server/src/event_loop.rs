@@ -1,28 +1,22 @@
-//! The connection layer under both serving front-ends: one
-//! readiness-driven event loop and one worker pool.
+//! The connection layer under [`crate::Server`]: one readiness-driven
+//! event loop and one worker pool.
 //!
-//! [`crate::Server`] and [`crate::Router`] serve the same client
-//! protocol over the same kind of socket, so everything between the
-//! listener and a complete request frame lives here once: listener bind,
-//! the poller and its wake pipe, the connection slab and its tokens,
-//! accept / read / pump / flush and interest reconciliation, slow-loris
-//! deadlines, the shutdown drain, the completion queue, and the worker
-//! pool. What differs is what happens to a complete frame, and the loop
-//! asks that through [`FrontEnd`]: the server hands every frame to its
-//! workers, the router answers some inline and scatters the rest to its
-//! shards before its workers decode. A frame a front-end takes leaves
-//! its connection in flight and unread until the reply arrives, so a
-//! pipelining client is throttled by the transport on either front-end.
+//! Everything between the listener and a complete request frame lives
+//! here: listener bind, the poller and its wake pipe, the connection slab
+//! and its tokens, accept / read / pump / flush and interest
+//! reconciliation, slow-loris deadlines, the shutdown drain, the
+//! completion queue, and the worker pool. Every complete frame goes to
+//! the pool, whatever the engine behind it; the frame's connection stays
+//! in flight and unread until the reply arrives, so a pipelining client
+//! is throttled by the transport.
 //!
 //! ## Tokens
 //!
 //! Every poller token but the listener's and the wake pipe's is
-//! `(generation << 32) | slot`, minted by [`next_token`]. Connection
-//! slots stay below [`FOREIGN_SLOT_BASE`]; slots from 2³¹ up belong to
-//! sockets a front-end owns itself, and the listener and wake-pipe tokens
-//! sit at the very top. The generation keeps all 32 bits, so a
-//! completion for a closed connection can only alias its slot's
-//! successor after 2³² reuses of that one slot.
+//! `(generation << 32) | slot`, minted by [`next_token`]; the listener
+//! and wake-pipe tokens sit at the very top. The generation keeps all 32
+//! bits, so a completion for a closed connection can only alias its
+//! slot's successor after 2³² reuses of that one slot.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -39,10 +33,10 @@ use std::time::{Duration, Instant};
 use fsdl_reactor::{Interest, Poller};
 
 use crate::protocol::{self, ErrorCode, ErrorReply, FrameError, FrameStep, Response, StatsReply};
-use crate::server::{Endpoint, ShutdownHandle};
+use crate::server::{Endpoint, ServerConfig, ShutdownHandle};
 
 /// Shared atomic counters, snapshotted into [`StatsReply`] frames and the
-/// final report of either front-end.
+/// server's final report.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) connections: AtomicU64,
@@ -52,13 +46,14 @@ pub(crate) struct Counters {
     pub(crate) updates: AtomicU64,
     pub(crate) protocol_errors: AtomicU64,
     pub(crate) deadline_closes: AtomicU64,
-    /// Label-fetch frames answered (server) or sent upstream (router).
+    /// Label-fetch requests answered (shard) or sent to the shards
+    /// (routed engine).
     pub(crate) label_fetches: AtomicU64,
     pub(crate) shard_failures: AtomicU64,
 }
 
 impl Counters {
-    /// The `stats` reply for a front-end serving `vertices` ids.
+    /// The `stats` reply for an engine serving `vertices` ids.
     pub(crate) fn stats(&self, vertices: u64, dynamic: u8, active_faults: u64) -> StatsReply {
         StatsReply {
             vertices,
@@ -76,33 +71,7 @@ impl Counters {
     }
 }
 
-/// The tunables both front-ends' configs carry.
-pub(crate) struct LoopConfig {
-    pub(crate) workers: usize,
-    pub(crate) max_frame: u32,
-    pub(crate) poll_interval: Duration,
-    pub(crate) frame_deadline: Duration,
-}
-
-/// Resolves a configured worker count: `0` reserves one core for the
-/// event-loop thread via [`fsdl_nets::parallel::background_workers`].
-/// Guaranteed `>= 1` on every host, single-core included — asserted,
-/// because a zero-worker pool would accept connections and serve nothing.
-pub(crate) fn resolve_workers(configured: usize) -> usize {
-    let workers = if configured == 0 {
-        // Cap irrelevant here (usize::MAX jobs): we want avail - 1.
-        fsdl_nets::parallel::background_workers(usize::MAX)
-    } else {
-        configured
-    };
-    assert!(
-        workers >= 1,
-        "worker pool must keep at least one worker after reserving the event loop"
-    );
-    workers
-}
-
-pub(crate) enum BoundListener {
+enum BoundListener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
 }
@@ -116,17 +85,32 @@ impl BoundListener {
     }
 }
 
-/// One connected socket, unified over transports.
+/// One connected socket, unified over transports: the loop's
+/// nonblocking connections and a [`crate::Client`]'s blocking one.
 pub(crate) enum Conn {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
 
 impl Conn {
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
+    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_nonblocking(nb),
             Conn::Unix(s) => s.set_nonblocking(nb),
+        }
+    }
+
+    /// Bounds every later read and write by `timeout`.
+    pub(crate) fn set_timeouts(&self, timeout: Duration) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
+            Conn::Unix(s) => {
+                s.set_read_timeout(Some(timeout))?;
+                s.set_write_timeout(Some(timeout))
+            }
         }
     }
 }
@@ -169,10 +153,6 @@ impl Write for Conn {
 pub(crate) const LISTENER_TOKEN: u64 = u64::MAX;
 /// The poller token of the worker-completion wake pipe.
 pub(crate) const WAKE_TOKEN: u64 = u64::MAX - 1;
-/// The first slot half that is not a connection slot: tokens at or above
-/// it in their low 32 bits belong to a front-end's own sockets (or to
-/// the listener and wake pipe).
-pub(crate) const FOREIGN_SLOT_BASE: u64 = 1 << 31;
 
 const SLOT_MASK: u64 = 0xFFFF_FFFF;
 
@@ -195,7 +175,7 @@ pub(crate) fn next_token(next_generation: &mut u32, slot: usize) -> u64 {
 }
 
 /// An encoded reply for one client frame.
-pub(crate) struct Reply {
+struct Reply {
     /// Encoded reply payload (frame header added by the write buffer).
     payload: Vec<u8>,
     /// The reply is the `shutdown` ack: flip the flag and close after the
@@ -205,7 +185,7 @@ pub(crate) struct Reply {
 
 impl Reply {
     /// Encodes `response`, counting an error reply as a protocol error.
-    pub(crate) fn encode(response: &Response, counters: &Counters) -> Reply {
+    fn encode(response: &Response, counters: &Counters) -> Reply {
         if matches!(response, Response::Error(_)) {
             counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -218,59 +198,11 @@ impl Reply {
     }
 }
 
-/// What a front-end did with one complete client frame.
-pub(crate) enum Dispatch {
-    /// Answered on the loop thread; the loop queues the reply and moves
-    /// on to the connection's next buffered frame.
-    Inline(Reply),
-    /// Taken: the connection is in flight, and unread, until a
-    /// completion for its token arrives ([`EventLoop::complete`] or a
-    /// worker).
-    Taken,
-}
-
-/// What a serving front-end adds to the shared loop.
-pub(crate) trait FrontEnd {
-    /// Answers or takes one complete frame from the connection `token`.
-    fn frame(&mut self, lp: &mut EventLoop<'_>, token: u64, frame: Vec<u8>) -> Dispatch;
-
-    /// Readiness on the front-end's own socket `index`, registered under
-    /// a token for slot `FOREIGN_SLOT_BASE + index`. Delivered while
-    /// draining too.
-    fn foreign_ready(&mut self, _lp: &mut EventLoop<'_>, _index: usize, _writable: bool) {}
-
-    /// Runs once per loop tick while not draining.
-    fn tick(&mut self, _lp: &mut EventLoop<'_>) {}
-}
-
-/// The loop's handle on the worker pool: `(token, job)` pairs in, one
-/// completion per job out.
-pub(crate) struct Workers<J>(Sender<(u64, J)>);
-
-impl<J> Workers<J> {
-    /// Hands `job` to the pool on behalf of connection `token`.
-    pub(crate) fn submit(&self, token: u64, job: J) {
-        self.0
-            .send((token, job))
-            .expect("the job queue's receiver outlives the event loop");
-    }
-}
-
-/// A front-end that takes every frame to the worker pool as is.
-impl FrontEnd for Workers<Vec<u8>> {
-    fn frame(&mut self, _lp: &mut EventLoop<'_>, token: u64, frame: Vec<u8>) -> Dispatch {
-        self.submit(token, frame);
-        Dispatch::Taken
-    }
-}
-
 /// A bound listener plus its reactor: the poller (listener and wake pipe
 /// registered) and the shutdown flag.
 pub(crate) struct Bound {
     listener: BoundListener,
-    /// Front-ends register their own sockets here, under tokens for
-    /// slots from [`FOREIGN_SLOT_BASE`] up.
-    pub(crate) poller: Poller,
+    poller: Poller,
     wake_rx: UnixStream,
     wake_tx: UnixStream,
     shutdown: Arc<AtomicBool>,
@@ -332,20 +264,16 @@ impl Bound {
     }
 
     /// Runs the event loop until shutdown and drain, then joins the
-    /// workers and removes a unix socket file. The pool answers each job
-    /// with `answer`, passing every worker its own `S` for its whole
-    /// lifetime; `front` builds the front-end around the pool's handle.
-    pub(crate) fn serve<J, S, F>(
+    /// workers and removes a unix socket file. A pool of `workers`
+    /// threads answers each complete frame with `answer`, passing every
+    /// worker its own `S` for its whole lifetime.
+    pub(crate) fn serve<S: Default>(
         self,
-        config: &LoopConfig,
+        config: &ServerConfig,
+        workers: usize,
         counters: &Counters,
-        answer: impl Fn(J, &mut S) -> Response + Sync,
-        front: impl FnOnce(Workers<J>) -> F,
-    ) where
-        J: Send,
-        S: Default,
-        F: FrontEnd,
-    {
+        answer: impl Fn(Vec<u8>, &mut S) -> Response + Sync,
+    ) {
         let Bound {
             listener,
             poller,
@@ -353,8 +281,7 @@ impl Bound {
             wake_tx,
             shutdown,
         } = self;
-        let workers = resolve_workers(config.workers);
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<(u64, J)>();
+        let (job_tx, job_rx) = std::sync::mpsc::channel::<(u64, Vec<u8>)>();
         let job_rx = Mutex::new(job_rx);
         let completions = Mutex::new(VecDeque::new());
 
@@ -383,14 +310,14 @@ impl Bound {
                 });
             }
 
-            // The front-end holds the only job sender: it drops at the end
-            // of this scope, so the workers drain the queue and exit
-            // before the scope joins them.
-            let mut front = front(Workers(job_tx));
+            // The loop holds the only job sender and drops it when it
+            // returns, so the workers drain the queue and exit before the
+            // scope joins them.
             EventLoop {
                 poller,
                 listener: &listener,
                 wake_rx: &wake_rx,
+                jobs: job_tx,
                 config,
                 counters,
                 shutdown: &shutdown,
@@ -402,7 +329,7 @@ impl Bound {
                 open: 0,
                 draining: false,
             }
-            .run(&mut front);
+            .run();
         });
 
         if let BoundListener::Unix(_, path) = &listener {
@@ -419,7 +346,7 @@ struct Connection {
     /// `(generation << 32) | slot`: stale completions for a recycled
     /// slot carry the old generation and are dropped.
     token: u64,
-    /// The front-end took a frame and owes a reply; readability is not
+    /// A worker holds a frame and owes a reply; readability is not
     /// watched meanwhile.
     in_flight: bool,
     /// The peer sent EOF; buffered complete frames are still served.
@@ -446,12 +373,15 @@ impl Connection {
 
 /// The readiness-driven core: owns the poller, the connection slab, and
 /// all per-connection buffers.
-pub(crate) struct EventLoop<'a> {
-    pub(crate) poller: Poller,
+struct EventLoop<'a> {
+    poller: Poller,
     listener: &'a BoundListener,
     wake_rx: &'a UnixStream,
-    config: &'a LoopConfig,
-    pub(crate) counters: &'a Counters,
+    /// Complete frames to the worker pool, each with its connection's
+    /// token.
+    jobs: Sender<(u64, Vec<u8>)>,
+    config: &'a ServerConfig,
+    counters: &'a Counters,
     shutdown: &'a AtomicBool,
     completions: &'a Mutex<VecDeque<(u64, Reply)>>,
     /// Slot-indexed connections; tokens carry a generation so events and
@@ -470,7 +400,7 @@ pub(crate) struct EventLoop<'a> {
 }
 
 impl EventLoop<'_> {
-    fn run(&mut self, front: &mut impl FrontEnd) {
+    fn run(mut self) {
         let mut events = Vec::new();
         let mut drain_deadline = Instant::now();
         loop {
@@ -504,22 +434,15 @@ impl EventLoop<'_> {
                     LISTENER_TOKEN if !self.draining => self.accept_ready(),
                     LISTENER_TOKEN => {}
                     WAKE_TOKEN => self.drain_wake_pipe(),
-                    token if token & SLOT_MASK >= FOREIGN_SLOT_BASE => {
-                        let index = (token & SLOT_MASK) - FOREIGN_SLOT_BASE;
-                        front.foreign_ready(self, index as usize, ev.writable);
-                    }
-                    token => self.connection_ready(front, token, ev.writable),
+                    token => self.connection_ready(token, ev.writable),
                 }
             }
             // Completions are drained every tick (not only on wake
             // events): the wake byte can race the queue push, and a
             // mutex peek is cheap.
-            self.drain_completions(front);
-            if !self.draining {
-                if self.armed_deadlines > 0 {
-                    self.expire_deadlines();
-                }
-                front.tick(self);
+            self.drain_completions();
+            if !self.draining && self.armed_deadlines > 0 {
+                self.expire_deadlines();
             }
         }
     }
@@ -541,16 +464,6 @@ impl EventLoop<'_> {
             timeout = timeout.min(d.saturating_duration_since(now));
         }
         timeout
-    }
-
-    /// Queues `reply` for connection `token`: it is applied, like a
-    /// worker's, when the loop next drains completions. A token whose
-    /// connection closed meanwhile is dropped there.
-    pub(crate) fn complete(&self, token: u64, reply: Reply) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back((token, reply));
     }
 
     /// Accepts until the listener would block; each new connection is
@@ -588,12 +501,9 @@ impl EventLoop<'_> {
         });
         let token = next_token(&mut self.next_generation, slot);
         let fd = conn.as_raw_fd();
-        // A slot in the foreign half would route to the front-end, and a
-        // poller out of capacity (EMFILE-like) cannot watch the socket:
-        // drop the connection either way; the slot goes back unused.
-        if slot as u64 >= FOREIGN_SLOT_BASE
-            || self.poller.register(fd, token, Interest::READABLE).is_err()
-        {
+        // A poller out of capacity (EMFILE-like) cannot watch the socket:
+        // drop the connection; the slot goes back unused.
+        if self.poller.register(fd, token, Interest::READABLE).is_err() {
             self.free.push(slot);
             return;
         }
@@ -669,7 +579,7 @@ impl EventLoop<'_> {
 
     /// Handles readiness on one connection: flush pending writes, read
     /// until the socket blocks, then pump buffered frames.
-    fn connection_ready(&mut self, front: &mut impl FrontEnd, token: u64, writable: bool) {
+    fn connection_ready(&mut self, token: u64, writable: bool) {
         let Some(slot) = self.live_slot(token) else {
             return;
         };
@@ -694,13 +604,13 @@ impl EventLoop<'_> {
                 }
             }
         }
-        self.pump(front, slot);
+        self.pump(slot);
     }
 
-    /// Hands buffered frames to the front-end until one is taken or none
-    /// is complete, then settles the connection's deadline, interest, and
-    /// close state.
-    fn pump(&mut self, front: &mut impl FrontEnd, slot: usize) {
+    /// Hands the next buffered frame, if one is complete, to the worker
+    /// pool, then settles the connection's deadline, interest, and close
+    /// state.
+    fn pump(&mut self, slot: usize) {
         loop {
             let conn = self.slab[slot].as_mut().expect("live slot");
             if self.draining && !conn.in_flight && conn.write_buf.is_empty() {
@@ -712,14 +622,12 @@ impl EventLoop<'_> {
             }
             match conn.assembler.next_frame(self.config.max_frame) {
                 FrameStep::Frame(payload) => {
-                    let (token, frame) = (conn.token, payload.to_vec());
+                    let job = (conn.token, payload.to_vec());
+                    conn.in_flight = true;
                     self.disarm_deadline(slot);
-                    match front.frame(self, token, frame) {
-                        Dispatch::Inline(reply) => self.queue_reply(slot, reply),
-                        Dispatch::Taken => {
-                            self.slab[slot].as_mut().expect("live slot").in_flight = true;
-                        }
-                    }
+                    self.jobs
+                        .send(job)
+                        .expect("the workers outlive the event loop");
                 }
                 FrameStep::Incomplete => {
                     if conn.peer_closed {
@@ -821,7 +729,7 @@ impl EventLoop<'_> {
     }
 
     /// Applies every queued reply to its connection.
-    fn drain_completions(&mut self, front: &mut impl FrontEnd) {
+    fn drain_completions(&mut self) {
         loop {
             let completion = self
                 .completions
@@ -850,8 +758,8 @@ impl EventLoop<'_> {
             }
             self.queue_reply(slot, reply);
             // The reply is queued; pump flushes it and, outside a drain,
-            // hands the front-end the next buffered frame.
-            self.pump(front, slot);
+            // hands the pool the next buffered frame.
+            self.pump(slot);
         }
     }
 

@@ -23,10 +23,15 @@
 //!   worker), each worker reusing one
 //!   [`fsdl_labels::DecodeScratch`] so the PR-3 zero-allocation decode
 //!   fast path survives the network hop. Serves a static
-//!   [`fsdl_routing::Network`] or a durable
-//!   [`fsdl_labels::DynamicOracle`]; graceful shutdown drains in-flight
-//!   requests and any background rebuild, and slow-loris clients are
-//!   cut by a per-connection frame deadline.
+//!   [`fsdl_routing::Network`], a durable
+//!   [`fsdl_labels::DynamicOracle`], one shard of a partitioned label
+//!   plane, or a router over such shards; graceful shutdown drains
+//!   in-flight requests and any background rebuild, and slow-loris
+//!   clients are cut by a per-connection frame deadline.
+//! - [`router`] — the routed engine, [`ServeEngine::Routed`]: each
+//!   worker fetches the labels a query names from the shards that own
+//!   them, over its own blocking clients, and answers bit-identically
+//!   to a single-process server.
 //! - [`client`] — [`client::Client`]: a blocking connection with typed
 //!   helpers, used by the CLI, the load generator, and the tests.
 //!
@@ -67,5 +72,5 @@ pub use protocol::{
     QueryReply, Request, Response, RouteReply, StatsReply, UpdateOp, WireError, WireFaults,
     WriteBuffer, MAX_BATCH, MAX_FRAME, MAX_LABEL_FETCH,
 };
-pub use router::{Router, RouterConfig, RouterError, RouterReport};
+pub use router::{RoutedPlane, RouterError};
 pub use server::{Endpoint, ServeEngine, ServeReport, Server, ServerConfig, ShutdownHandle};

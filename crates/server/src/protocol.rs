@@ -64,9 +64,10 @@ pub const MAX_BATCH: u32 = 4096;
 /// make the decoder loop for gigabytes.
 pub const MAX_WIRE_FAULTS: u16 = u16::MAX;
 
-/// Ceiling on vertex ids in one label-fetch frame. A scatter-gather
-/// round fetches at most `2 + 2·|F|` labels per query, so this bounds a
-/// router's per-shard coalescing, not a client-visible limit.
+/// Ceiling on vertex ids in one label-fetch frame. A routed query
+/// fetches at most `2 + 2·|F|` labels, so this bounds a router's
+/// per-shard coalescing, not a client-visible limit: the blocking
+/// client splits longer id lists into frames of at most this many.
 pub const MAX_LABEL_FETCH: u32 = 4096;
 
 /// Frame ceiling for *label-plane replies* (label-fetch responses read
@@ -316,8 +317,8 @@ pub enum Request {
     Stats,
     /// Graceful shutdown: drain in-flight requests, flush, exit.
     Shutdown,
-    /// Raw encoded labels by global vertex id (shard mode; the router's
-    /// scatter-gather primitive). An empty id list is a valid handshake:
+    /// Raw encoded labels by global vertex id (shard mode; the routed
+    /// engine's fetch primitive). An empty id list is a valid handshake:
     /// the reply still carries generation and decode parameters.
     LabelFetch {
         /// Global vertex ids to fetch, at most [`MAX_LABEL_FETCH`].

@@ -6,12 +6,11 @@
 //! One event loop (the caller of [`Server::run`]) owns *every* socket —
 //! the listener and all accepted connections, all nonblocking — through
 //! an [`fsdl_reactor::Poller`] (raw `epoll` on Linux, `poll(2)`
-//! elsewhere). The loop is the crate's shared connection layer (module
-//! `event_loop`), the same one under [`crate::Router`]: each connection
-//! carries a [`protocol::FrameAssembler`] that reassembles
-//! length-prefixed frames from whatever byte chunks the kernel delivers
-//! and a [`protocol::WriteBuffer`] that absorbs replies a full send
-//! buffer cannot take yet. The server's front-end hands every *complete*
+//! elsewhere). The loop is the crate's connection layer (module
+//! `event_loop`): each connection carries a [`protocol::FrameAssembler`]
+//! that reassembles length-prefixed frames from whatever byte chunks the
+//! kernel delivers and a [`protocol::WriteBuffer`] that absorbs replies a
+//! full send buffer cannot take yet. The loop hands every *complete*
 //! request frame to the worker pool, so a thousand idle keep-alive
 //! connections and a client that drips one header byte per second cost
 //! the workers nothing — the defect this design replaces parked one
@@ -27,7 +26,9 @@
 //! to [`fsdl_nets::parallel::background_workers`] (available
 //! parallelism minus the event-loop thread, never below one), asserted
 //! at startup so a misconfigured host can never end up with zero
-//! serving workers.
+//! serving workers. A [`ServeEngine::Routed`] server's workers wait on
+//! shard I/O for part of every request, so its default pool is one
+//! worker per core instead (see [`crate::router`]).
 //!
 //! ## Backpressure and buffer ownership
 //!
@@ -67,15 +68,16 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use fsdl_graph::NodeId;
-use fsdl_labels::partition::ShardStore;
+use fsdl_labels::partition::{PartitionPlan, ShardStore};
 use fsdl_labels::{DecodeScratch, DynamicOracle};
 use fsdl_routing::Network;
 
-use crate::event_loop::{resolve_workers, Bound, Counters, LoopConfig};
+use crate::event_loop::{Bound, Counters};
 use crate::protocol::{
     self, sat_u32, BatchItem, ErrorCode, ErrorReply, LabelBytes, LabelFetchReply, QueryReply,
     Request, Response, RouteReply, UpdateOp, WireFaults,
 };
+use crate::router::{PlannedRequest, RoutedPlane, RouterError, ShardClients};
 
 /// Where a server listens or a client connects.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,7 +101,8 @@ impl std::fmt::Display for Endpoint {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Worker threads (0 = auto: available parallelism minus the
-    /// event-loop thread, never below 1).
+    /// event-loop thread, never below 1; for a routed engine, available
+    /// parallelism).
     pub workers: usize,
     /// Frame payload ceiling in bytes.
     pub max_frame: u32,
@@ -109,7 +112,9 @@ pub struct ServerConfig {
     pub poll_interval: Duration,
     /// How long a connection may hold a *partial* frame before it is
     /// closed as a slow-loris suspect; also the grace period stragglers
-    /// get to flush replies during shutdown drain.
+    /// get to flush replies during shutdown drain, and the bound on each
+    /// TCP connect, read and write a routed engine's worker makes to a
+    /// shard.
     pub frame_deadline: Duration,
     /// Soft byte budget on encoded label bytes per label-fetch reply:
     /// replies carry the longest request prefix that fits (always at
@@ -143,8 +148,12 @@ pub enum ServeEngine {
     Dynamic(Arc<RwLock<DynamicOracle>>),
     /// One shard of a partitioned label plane: serves only `label-fetch`
     /// (raw encoded labels by global id) and `stats`/`shutdown`; queries
-    /// belong at the router, which holds the full partition plan.
+    /// belong at a routed server, which holds the full partition plan.
     Shard(Arc<ShardStore>),
+    /// A router over a shard fleet: `query`/`batch` answered from labels
+    /// fetched from the shards that own them, bit-identical to a
+    /// single-process static server. Build it with [`ServeEngine::routed`].
+    Routed(Arc<RoutedPlane>),
 }
 
 impl ServeEngine {
@@ -163,6 +172,26 @@ impl ServeEngine {
         ServeEngine::Shard(Arc::new(store))
     }
 
+    /// A router over the shard fleet at `shard_endpoints` (in shard
+    /// order) partitioned by `plan`. Handshakes every shard, learning and
+    /// cross-checking generation, epsilon, `c` and the global vertex
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// [`RouterError::Plan`] when the fleet disagrees with the plan or
+    /// itself, or reports unusable decode parameters;
+    /// [`RouterError::Handshake`] when a shard cannot be reached.
+    pub fn routed(
+        shard_endpoints: Vec<Endpoint>,
+        plan: PartitionPlan,
+    ) -> Result<Self, RouterError> {
+        Ok(ServeEngine::Routed(Arc::new(RoutedPlane::connect(
+            shard_endpoints,
+            plan,
+        )?)))
+    }
+
     fn vertices(&self) -> u64 {
         match self {
             ServeEngine::Static(net) => net.oracle().labeling().graph().num_vertices() as u64,
@@ -170,6 +199,7 @@ impl ServeEngine {
             // The *global* id space: a shard answers for the whole graph's
             // ids even though it holds a slice of the labels.
             ServeEngine::Shard(store) => store.total_vertices(),
+            ServeEngine::Routed(plane) => plane.num_vertices(),
         }
     }
 }
@@ -202,8 +232,14 @@ pub struct ServeReport {
     /// Connections closed for stalling mid-frame past the frame
     /// deadline (slow-loris protection).
     pub deadline_closes: u64,
-    /// Label-fetch requests answered (shard mode).
+    /// Label-fetch requests answered (shard mode) or sent to the shards
+    /// (routed mode; short-reply tail re-requests are counted by the
+    /// shards only).
     pub label_fetches: u64,
+    /// Failed exchanges with a shard (routed mode): a dial, transport
+    /// error or timeout, a desynchronized reply, or a changed store
+    /// generation, each answered `Unavailable` or `Internal`.
+    pub shard_failures: u64,
 }
 
 /// Signals a running server to drain and exit (the out-of-band
@@ -272,42 +308,43 @@ impl Server {
 
     /// Resolves the worker-pool size for this config: `workers == 0`
     /// reserves one core for the event-loop thread via
-    /// [`fsdl_nets::parallel::background_workers`]. Guaranteed `>= 1` on
-    /// every host, single-core included — asserted, because a zero-worker
-    /// pool would accept connections and serve nothing.
+    /// [`fsdl_nets::parallel::background_workers`], except on a routed
+    /// engine, whose workers wait on shard I/O and so run one per core.
+    /// Guaranteed `>= 1` on every host, single-core included — asserted,
+    /// because a zero-worker pool would accept connections and serve
+    /// nothing.
     pub fn resolved_workers(&self) -> usize {
-        resolve_workers(self.config.workers)
+        // Cap irrelevant here (usize::MAX jobs).
+        let workers = match (self.config.workers, &self.engine) {
+            (0, ServeEngine::Routed(_)) => fsdl_nets::parallel::default_workers(usize::MAX),
+            (0, _) => fsdl_nets::parallel::background_workers(usize::MAX),
+            (configured, _) => configured,
+        };
+        assert!(
+            workers >= 1,
+            "worker pool must keep at least one worker after reserving the event loop"
+        );
+        workers
     }
 
     /// Runs the event loop until shutdown, then drains and returns the
     /// totals. Blocks the calling thread (spawn it for in-process use).
     pub fn run(self) -> ServeReport {
         let counters = Counters::default();
+        let workers = self.resolved_workers();
         let Server {
             bound,
             engine,
             config,
         } = self;
-        let loop_config = LoopConfig {
-            workers: config.workers,
-            max_frame: config.max_frame,
-            poll_interval: config.poll_interval,
-            frame_deadline: config.frame_deadline,
-        };
         bound.serve(
-            &loop_config,
+            &config,
+            workers,
             &counters,
-            |frame: Vec<u8>, scratch: &mut DecodeScratch| match Request::decode(&frame) {
+            |frame, worker: &mut (DecodeScratch, ShardClients)| match Request::decode(&frame) {
                 Err(wire_err) => error_reply(wire_err.code(), wire_err.to_string()),
-                Ok(request) => handle_request(
-                    request,
-                    &engine,
-                    &counters,
-                    scratch,
-                    config.label_fetch_budget,
-                ),
+                Ok(request) => handle_request(request, &engine, &config, &counters, worker),
             },
-            |workers| workers,
         );
 
         // Drain any background rebuild so the store and WAL are
@@ -325,6 +362,7 @@ impl Server {
             protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
             deadline_closes: counters.deadline_closes.load(Ordering::Relaxed),
             label_fetches: counters.label_fetches.load(Ordering::Relaxed),
+            shard_failures: counters.shard_failures.load(Ordering::Relaxed),
         }
     }
 }
@@ -364,13 +402,14 @@ fn pack_label_prefix<'a>(
     Ok(labels)
 }
 
-/// Dispatches one decoded request against the engine.
+/// Dispatches one decoded request against the engine, on a worker with
+/// its own decode scratch and (routed engine) shard clients.
 fn handle_request(
     request: Request,
     engine: &ServeEngine,
+    config: &ServerConfig,
     counters: &Counters,
-    scratch: &mut DecodeScratch,
-    label_fetch_budget: usize,
+    (scratch, shards): &mut (DecodeScratch, ShardClients),
 ) -> Response {
     match request {
         Request::Query { s, t, faults } => match engine {
@@ -413,6 +452,13 @@ fn handle_request(
             ServeEngine::Shard(_) => error_reply(
                 ErrorCode::UnsupportedInMode,
                 "a shard serves label-fetch only; send queries to the router",
+            ),
+            ServeEngine::Routed(plane) => plane.answer(
+                PlannedRequest::Query { s, t, faults },
+                config.frame_deadline,
+                counters,
+                scratch,
+                shards,
             ),
         },
         Request::Batch(queries) => match engine {
@@ -473,6 +519,13 @@ fn handle_request(
                 ErrorCode::UnsupportedInMode,
                 "a shard serves label-fetch only; send queries to the router",
             ),
+            ServeEngine::Routed(plane) => plane.answer(
+                PlannedRequest::Batch(queries),
+                config.frame_deadline,
+                counters,
+                scratch,
+                shards,
+            ),
         },
         Request::Route { s, t, faults } => match engine {
             ServeEngine::Static(net) => {
@@ -490,13 +543,16 @@ fn handle_request(
                     Err(failure) => Response::Route(RouteReply::Failed(failure.to_string())),
                 }
             }
-            ServeEngine::Dynamic(_) | ServeEngine::Shard(_) => error_reply(
-                ErrorCode::UnsupportedInMode,
-                "route requires the static oracle (serve without --dynamic)",
-            ),
+            ServeEngine::Dynamic(_) | ServeEngine::Shard(_) | ServeEngine::Routed(_) => {
+                error_reply(
+                    ErrorCode::UnsupportedInMode,
+                    "route requires the static oracle of a single-process server \
+                     (serve without --dynamic or --shards)",
+                )
+            }
         },
         Request::Update(update) => match engine {
-            ServeEngine::Static(_) | ServeEngine::Shard(_) => error_reply(
+            ServeEngine::Static(_) | ServeEngine::Shard(_) | ServeEngine::Routed(_) => error_reply(
                 ErrorCode::UnsupportedInMode,
                 "update requires a dynamic oracle (serve with --store and --dynamic)",
             ),
@@ -523,17 +579,17 @@ fn handle_request(
         },
         Request::Stats => {
             let (dynamic, active_faults) = match engine {
-                ServeEngine::Static(_) | ServeEngine::Shard(_) => (0u8, 0u64),
                 ServeEngine::Dynamic(dyn_oracle) => {
                     (1u8, read_lock(dyn_oracle).current_faults().len() as u64)
                 }
+                _ => (0u8, 0u64),
             };
             Response::Stats(counters.stats(engine.vertices(), dynamic, active_faults))
         }
         Request::Shutdown => Response::Shutdown,
         Request::LabelFetch { vertices } => match engine {
             ServeEngine::Shard(store) => {
-                let labels = pack_label_prefix(&vertices, label_fetch_budget, |v| {
+                let labels = pack_label_prefix(&vertices, config.label_fetch_budget, |v| {
                     store
                         .fetch(v)
                         .map(|(bytes, bit_len)| (Cow::Borrowed(bytes), bit_len))
@@ -564,11 +620,11 @@ fn handle_request(
             }
             ServeEngine::Static(net) => {
                 // A single unsharded oracle is a valid 1-shard backend:
-                // the router's differential tests lean on this.
+                // the routed engine's differential tests lean on this.
                 let oracle = net.oracle();
                 let n = oracle.labeling().graph().num_vertices();
                 let params = oracle.labeling().params();
-                let labels = pack_label_prefix(&vertices, label_fetch_budget, |v| {
+                let labels = pack_label_prefix(&vertices, config.label_fetch_budget, |v| {
                     if v as usize >= n {
                         return Err(error_reply(
                             ErrorCode::BadRequest,
@@ -597,6 +653,10 @@ fn handle_request(
                 ErrorCode::UnsupportedInMode,
                 "label-fetch serves immutable labels; the dynamic oracle re-encodes \
                  across generations and cannot be sharded",
+            ),
+            ServeEngine::Routed(_) => error_reply(
+                ErrorCode::UnsupportedInMode,
+                "label-fetch is the shard-facing op; send query or batch frames here",
             ),
         },
     }

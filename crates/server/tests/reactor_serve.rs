@@ -16,8 +16,8 @@ use fsdl_labels::partition::PartitionPlan;
 use fsdl_labels::ForbiddenSetOracle;
 use fsdl_routing::Network;
 use fsdl_server::{
-    Client, Endpoint, ErrorCode, Request, Response, Router, RouterConfig, ServeEngine, Server,
-    ServerConfig, WireFaults,
+    Client, Endpoint, ErrorCode, Request, Response, ServeEngine, ServeReport, Server, ServerConfig,
+    WireFaults,
 };
 
 fn scratch_sock(tag: &str) -> PathBuf {
@@ -32,7 +32,7 @@ fn scratch_sock(tag: &str) -> PathBuf {
 fn spawn_server(
     sock: PathBuf,
     config: ServerConfig,
-) -> (Endpoint, std::thread::JoinHandle<fsdl_server::ServeReport>) {
+) -> (Endpoint, std::thread::JoinHandle<ServeReport>) {
     let g = generators::grid2d(6, 6);
     let oracle = ForbiddenSetOracle::new(&g, 0.5);
     let server = Server::bind(
@@ -46,22 +46,17 @@ fn spawn_server(
     (endpoint, handle)
 }
 
-/// The two front-ends of the shared event loop.
+/// The two kinds of engine the connection-handling tests run under.
 #[derive(Clone, Copy, Debug)]
 enum Front {
+    /// A static oracle in process.
     Server,
-    /// A router over the same graph served by one static backend shard.
-    Router,
+    /// A routed engine over the same graph served by one static backend
+    /// shard.
+    Routed,
 }
 
-/// The totals the connection-handling tests read from either front-end.
-struct Totals {
-    queries: u64,
-    protocol_errors: u64,
-    deadline_closes: u64,
-}
-
-type Joiner = Box<dyn FnOnce() -> Totals>;
+type Joiner = Box<dyn FnOnce() -> ServeReport>;
 
 /// Spawns `front` on a fresh socket with the given frame deadline; the
 /// returned closure joins it (and any backend) after a shutdown frame.
@@ -70,28 +65,17 @@ fn spawn_front(front: Front, tag: &str, frame_deadline: Duration) -> (Endpoint, 
         frame_deadline,
         ..ServerConfig::default()
     };
-    let (endpoint, handle) = spawn_server(scratch_sock(tag), config);
+    let (endpoint, handle) = spawn_server(scratch_sock(tag), config.clone());
     match front {
-        Front::Server => {
-            let join = move || {
-                let report = handle.join().expect("server");
-                Totals {
-                    queries: report.queries,
-                    protocol_errors: report.protocol_errors,
-                    deadline_closes: report.deadline_closes,
-                }
-            };
-            (endpoint, Box::new(join))
-        }
-        Front::Router => {
-            let router = Router::bind(
+        Front::Server => (endpoint, Box::new(move || handle.join().expect("server"))),
+        Front::Routed => {
+            let engine =
+                ServeEngine::routed(vec![endpoint.clone()], PartitionPlan::contiguous(36, 1))
+                    .expect("handshake the backend");
+            let router = Server::bind(
                 &Endpoint::Unix(scratch_sock(&format!("{tag}-router"))),
-                vec![endpoint.clone()],
-                PartitionPlan::contiguous(36, 1),
-                RouterConfig {
-                    frame_deadline,
-                    ..RouterConfig::default()
-                },
+                engine,
+                config,
             )
             .expect("bind router");
             let router_endpoint = router.local_endpoint().expect("router endpoint");
@@ -102,11 +86,7 @@ fn spawn_front(front: Front, tag: &str, frame_deadline: Duration) -> (Endpoint, 
                     .and_then(|mut backend| backend.shutdown())
                     .expect("backend shutdown");
                 handle.join().expect("backend");
-                Totals {
-                    queries: report.queries,
-                    protocol_errors: report.protocol_errors,
-                    deadline_closes: report.deadline_closes,
-                }
+                report
             };
             (router_endpoint, Box::new(join))
         }
@@ -167,7 +147,7 @@ fn read_reply(stream: &mut UnixStream) -> Option<Vec<u8>> {
 /// whole — the reassembler cannot care where the kernel splits reads.
 #[test]
 fn drip_fed_frames_are_reassembled_across_every_boundary() {
-    for front in [Front::Server, Front::Router] {
+    for front in [Front::Server, Front::Routed] {
         let (endpoint, join) = spawn_front(front, "drip", ServerConfig::default().frame_deadline);
 
         let request = Request::Query {
@@ -338,7 +318,7 @@ fn pipelined_batches_with_a_lazy_reader_exercise_the_write_buffer() {
 /// count; a connection that is merely idle (no partial frame) is immune.
 #[test]
 fn slow_loris_hits_the_deadline_while_idle_connections_are_immune() {
-    for front in [Front::Server, Front::Router] {
+    for front in [Front::Server, Front::Routed] {
         let (endpoint, join) = spawn_front(front, "loris", Duration::from_millis(200));
 
         // Idle connection: open, never writes. Must survive many deadlines.
